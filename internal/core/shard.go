@@ -721,6 +721,12 @@ type parJob struct {
 	// above to the workers that observe it.
 	next atomic.Int32
 	wg   sync.WaitGroup
+	// refs counts the caller plus every queue entry offered for this pass
+	// whose worker has not yet returned from run. The job goes back to the
+	// free list only when it drops to zero: a worker that dequeues a stale
+	// entry after the pass ended must find the finished pass (next past
+	// nshard), never a recycled job that init is rewriting.
+	refs atomic.Int32
 
 	rc     Reconciler
 	merged []obs.Event
@@ -756,6 +762,7 @@ func ensureParWorkers() {
 		go func() {
 			for j := range parQueue {
 				j.run()
+				j.unref()
 			}
 		}()
 	}
@@ -770,6 +777,13 @@ func acquireParJob() *parJob {
 		return j
 	}
 	return &parJob{}
+}
+
+// unref drops one reference on the job, recycling it with the last one.
+func (j *parJob) unref() {
+	if j.refs.Add(-1) == 0 {
+		releaseParJob(j)
+	}
 }
 
 func releaseParJob(j *parJob) {
@@ -811,6 +825,7 @@ func (j *parJob) init(c *Compiled, stream []Edge, shards int, useObs bool, base 
 		j.res = j.res[:shards]
 	}
 	j.wg.Add(shards)
+	j.refs.Store(1)
 	j.next.Store(0)
 }
 
@@ -852,9 +867,11 @@ func (j *parJob) dispatch() {
 	}
 offer:
 	for i := 0; i < helpers; i++ {
+		j.refs.Add(1) // before the send: the worker may finish first
 		select {
 		case parQueue <- j:
 		default:
+			j.refs.Add(-1)
 			break offer // queue full; the caller scans the rest itself
 		}
 	}
@@ -876,7 +893,7 @@ func parallelReplay(c *Compiled, stream []Edge, shards int, o *obs.Obs, cancel *
 	j.init(c, stream, shards, o != nil, base, cancel)
 	j.dispatch()
 	if cancel != nil && cancel.Load() {
-		releaseParJob(j)
+		j.unref()
 		return Stats{}, NTE, false
 	}
 
@@ -889,7 +906,7 @@ func parallelReplay(c *Compiled, stream []Edge, shards int, o *obs.Obs, cancel *
 			total.add(&d)
 			cur, des = c2, d2
 		}
-		releaseParJob(j)
+		j.unref()
 		return total, cur, true
 	}
 
@@ -909,6 +926,6 @@ func parallelReplay(c *Compiled, stream []Edge, shards int, o *obs.Obs, cancel *
 	sp.End()
 	o.AdvanceEdges(uint64(len(stream)))
 	o.IngestReplay(j.merged)
-	releaseParJob(j)
+	j.unref()
 	return total, cur, true
 }

@@ -226,6 +226,36 @@ func TestSymbolForDeterministic(t *testing.T) {
 	}
 }
 
+// TestSymbolIndexMatchesSymbolFor: the one-walk index keeps SymbolFor's
+// tie rule (smallest name wins) and is built fresh from the current Labels.
+func TestSymbolIndexMatchesSymbolFor(t *testing.T) {
+	b := NewBuilder("t")
+	b.Label("zeta")
+	b.Label("alpha")
+	b.Label("mid")
+	b.Emit(Instr{Op: NOP})
+	b.Label("next")
+	b.Emit(Instr{Op: HALT})
+	p, err := b.Build("", 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx := p.SymbolIndex()
+	if len(idx) != 2 {
+		t.Fatalf("index has %d addresses, want 2: %v", len(idx), idx)
+	}
+	for _, addr := range p.Labels {
+		want, _ := p.SymbolFor(addr)
+		if idx[addr] != want {
+			t.Errorf("index[0x%x] = %q, SymbolFor = %q", addr, idx[addr], want)
+		}
+	}
+	p.Labels = map[string]uint64{"aardvark": BaseAddr}
+	if got := p.SymbolIndex()[BaseAddr]; got != "aardvark" {
+		t.Errorf("index after replacing Labels = %q, want aardvark", got)
+	}
+}
+
 func TestDisassembleContainsLabels(t *testing.T) {
 	b := NewBuilder("t")
 	b.Label("main")

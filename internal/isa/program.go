@@ -1,9 +1,6 @@
 package isa
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // BaseAddr is the address at which program text is laid out by default. A
 // non-zero base keeps address arithmetic honest (zero is never a valid PC).
@@ -160,19 +157,30 @@ func (p *Program) StaticBytes() uint64 {
 
 // SymbolFor returns the name of the label at addr, if any. When several
 // labels share an address the lexicographically smallest is returned, so
-// output is deterministic.
+// output is deterministic. Each call walks the whole Labels map; callers
+// that name many addresses build a SymbolIndex once instead.
 func (p *Program) SymbolFor(addr uint64) (string, bool) {
-	var names []string
+	best, ok := "", false
 	for n, a := range p.Labels {
-		if a == addr {
-			names = append(names, n)
+		if a == addr && (!ok || n < best) {
+			best, ok = n, true
 		}
 	}
-	if len(names) == 0 {
-		return "", false
+	return best, ok
+}
+
+// SymbolIndex returns a fresh addr→symbol map built in one walk of Labels,
+// with SymbolFor's tie rule: the lexicographically smallest name wins. The
+// program does not keep the map, so it never goes stale when Labels is
+// replaced and costs nothing once the caller drops it.
+func (p *Program) SymbolIndex() map[uint64]string {
+	idx := make(map[uint64]string, len(p.Labels))
+	for n, a := range p.Labels {
+		if old, ok := idx[a]; !ok || n < old {
+			idx[a] = n
+		}
 	}
-	sort.Strings(names)
-	return names[0], true
+	return idx
 }
 
 // Disassemble renders the instructions in [lo, hi) as text, one per line,

@@ -170,8 +170,22 @@ func NewServer(cfg Config) *Server {
 		imageTrips: o.Reg.CounterVec("tea_serve_image_breaker_trips_total",
 			"circuit-breaker quarantines per hosted image", "image", 0),
 	}
+	s.store.admitNs = o.Reg.Histogram("tea_serve_admission_ns",
+		"image admission latency (compile or decode plus static verify), per Add, Publish and breaker re-verify",
+		admissionBounds)
+	s.store.findings = o.Reg.CounterVec("tea_serve_verify_findings_total",
+		"static verifier findings raised at admission, per rule", "rule", maxRuleSeries)
 	return s
 }
+
+// admissionBounds are the tea_serve_admission_ns bucket edges: decades
+// from 10µs (a small image) to 10s.
+var admissionBounds = []uint64{1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10}
+
+// maxRuleSeries caps tea_serve_verify_findings_total's rule label. The
+// verifier's rule IDs are a closed set of about two dozen; the cap only
+// guards against that set growing unchecked.
+const maxRuleSeries = 32
 
 // event stamps one session-scoped trace event into the event ring: the
 // session's source id plus its accepted-edge watermark as the logical
@@ -218,9 +232,17 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// Serve accepts connections until the listener fails or Shutdown runs.
+// Serve accepts connections until the listener fails or Shutdown runs. A
+// Serve that starts after Shutdown closes l and returns nil at once.
 func (s *Server) Serve(l net.Listener) error {
 	s.mu.Lock()
+	if s.closed.Load() {
+		// Shutdown already closed the listeners it knew of; l would
+		// otherwise accept forever.
+		s.mu.Unlock()
+		l.Close()
+		return nil
+	}
 	s.listeners = append(s.listeners, l)
 	s.mu.Unlock()
 	for {

@@ -8,6 +8,7 @@ import (
 	"github.com/lsc-tea/tea/internal/cfg"
 	"github.com/lsc-tea/tea/internal/core"
 	"github.com/lsc-tea/tea/internal/isa"
+	"github.com/lsc-tea/tea/internal/obs"
 	"github.com/lsc-tea/tea/internal/verify"
 )
 
@@ -40,6 +41,15 @@ type Store struct {
 	brkThr  int
 	brkCool time.Duration
 	now     func() time.Time
+
+	// admitNs and findings time every admission (Add, Publish, breaker
+	// re-verify) and count its verifier findings by rule; nil on a store
+	// that no server registered metrics for.
+	admitNs  *obs.Histogram
+	findings *obs.CounterVec
+	// verified, when set (tests), sees every compiled form that passes
+	// admission.
+	verified func(*core.Compiled)
 }
 
 // NewStore creates an empty store. Sessions replay with lookup's Local
@@ -56,13 +66,15 @@ func NewStore(lookup core.LookupConfig, breakerThreshold int, breakerCooldown ti
 }
 
 // Add hosts an automaton under name with generation 1. The automaton is
-// statically verified before admission — the store never serves an image
-// it cannot prove; the same gate guards Publish and breaker readmission.
+// compiled once, and that compiled form is both what the static verifier
+// proves and what sessions replay: the store never serves an image it has
+// not proven. The same gate guards Publish and breaker readmission.
 func (s *Store) Add(name string, p *isa.Program, a *core.Automaton) error {
-	if err := s.admitVerify(a, p); err != nil {
-		return err
-	}
+	start := time.Now()
 	c := core.Compile(a, s.lookup)
+	if err := s.admit(start, verify.Admit(c, programCache(p)), c); err != nil {
+		return errf(CodeBadImage, "verification failed: %v", err)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.images[name]; ok {
@@ -74,19 +86,30 @@ func (s *Store) Add(name string, p *isa.Program, a *core.Automaton) error {
 	return nil
 }
 
-// admitVerify is the static admission gate: automaton rules against the
-// program image plus the full compiled-form audit.
-func (s *Store) admitVerify(a *core.Automaton, p *isa.Program) error {
-	var cache *cfg.Cache
-	if p != nil {
-		cache = cfg.NewCache(p, cfg.StarDBT)
+// programCache is the block cache the CFG rules check against; nil (image
+// rules skipped) when the image's program is unknown.
+func programCache(p *isa.Program) *cfg.Cache {
+	if p == nil {
+		return nil
 	}
-	r := verify.Automaton(a, cache)
-	r.Merge(verify.Compiled(core.Compile(a, s.lookup)))
-	if err := r.Err(); err != nil {
-		return errf(CodeBadImage, "verification failed: %v", err)
+	return cfg.NewCache(p, cfg.StarDBT)
+}
+
+// admit settles one admission that began at start: it records the
+// admission's latency and findings, and returns the report's first error
+// (nil when c may be served).
+func (s *Store) admit(start time.Time, r *verify.Report, c *core.Compiled) error {
+	if s.admitNs != nil {
+		s.admitNs.Observe(uint64(time.Since(start)))
+		for _, f := range r.Findings {
+			s.findings.With(f.Rule).Add(1)
+		}
 	}
-	return nil
+	err := r.Err()
+	if err == nil && s.verified != nil {
+		s.verified(c)
+	}
+	return err
 }
 
 // lookupEntry returns the entry for name.
@@ -116,7 +139,8 @@ func (s *Store) Get(name string) (*Image, *Error) {
 	if !ok {
 		if verifyDue {
 			img := e.cur.Load()
-			clean := s.admitVerify(img.Automaton, e.program) == nil
+			start := time.Now()
+			clean := s.admit(start, verify.Admit(img.Compiled, programCache(e.program)), img.Compiled) == nil
 			e.brk.verdict(clean)
 			if clean {
 				return img, nil
@@ -142,24 +166,20 @@ func (s *Store) Peek(name string) (*Image, *Error) {
 }
 
 // Publish admits a serialized TEA as the image's next generation: decode
-// against the hosted program, statically verify end-to-end, compile, and
-// atomically swap. A successful publish resets the circuit breaker — the
-// failure evidence that tripped it described the previous generation.
+// against the hosted program and compile once, statically verify exactly
+// those two forms end-to-end, and atomically swap them in. A successful
+// publish resets the circuit breaker — the failure evidence that tripped
+// it described the previous generation.
 func (s *Store) Publish(name string, data []byte) (uint64, *Error) {
 	e, serr := s.lookupEntry(name)
 	if serr != nil {
 		return 0, serr
 	}
-	cache := cfg.NewCache(e.program, cfg.StarDBT)
-	if r := verify.Image(data, cache, s.lookup); r.Err() != nil {
-		return 0, errf(CodeBadImage, "publish rejected: %v", r.Err())
+	start := time.Now()
+	a, c, r := verify.Load(data, cfg.NewCache(e.program, cfg.StarDBT), s.lookup)
+	if err := s.admit(start, r, c); err != nil {
+		return 0, errf(CodeBadImage, "publish rejected: %v", err)
 	}
-	// Decode again for the automaton itself; verify.Image proved it decodes.
-	a, err := core.Decode(data, cfg.NewCache(e.program, cfg.StarDBT))
-	if err != nil {
-		return 0, errf(CodeBadImage, "publish decode: %v", err)
-	}
-	c := core.Compile(a, s.lookup)
 
 	s.mu.Lock()
 	old := e.cur.Load()

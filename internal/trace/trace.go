@@ -40,10 +40,45 @@ type TBB struct {
 // for the block head when one exists.
 func (t *TBB) Name() string {
 	sym, ok := t.Trace.prog.SymbolFor(t.Block.Head)
+	return t.name(sym, ok)
+}
+
+// NameIn renders exactly what Name does, but resolves the block-head
+// symbol through c: the first TBB named from a symbol source that can
+// index itself (isa.Program) builds that source's addr→symbol index into
+// c, and every later name from the same source is a map lookup. A caller
+// naming many TBBs thus walks the symbol table once instead of once per
+// name.
+func (t *TBB) NameIn(c *SymbolCache) string {
+	ix, ok := t.Trace.prog.(symbolIndexer)
+	if !ok {
+		return t.Name()
+	}
+	idx, built := c.idx[t.Trace.prog]
+	if !built {
+		if c.idx == nil {
+			c.idx = make(map[programSymbols]map[uint64]string, 1)
+		}
+		idx = ix.SymbolIndex()
+		c.idx[t.Trace.prog] = idx
+	}
+	sym, ok := idx[t.Block.Head]
+	return t.name(sym, ok)
+}
+
+func (t *TBB) name(sym string, ok bool) string {
 	if !ok {
 		sym = fmt.Sprintf("0x%x", t.Block.Head)
 	}
 	return fmt.Sprintf("$$T%d.%s", t.Trace.ID, sym)
+}
+
+// SymbolCache holds the addr→symbol indexes NameIn builds, one per symbol
+// source. The zero value is ready to use; keep it only as long as the
+// batch of names being rendered, since an index of a large program is
+// sizable and goes stale if the program's labels are replaced.
+type SymbolCache struct {
+	idx map[programSymbols]map[uint64]string
 }
 
 func (t *TBB) String() string { return t.Name() }
@@ -124,6 +159,12 @@ type Trace struct {
 // keeps this package decoupled from program construction.
 type programSymbols interface {
 	SymbolFor(addr uint64) (string, bool)
+}
+
+// symbolIndexer is a symbol source that can also resolve every address in
+// one pass, returning a fresh addr→symbol map that agrees with SymbolFor.
+type symbolIndexer interface {
+	SymbolIndex() map[uint64]string
 }
 
 // Head returns the entry TBB. Every trace is entered only at its head.
@@ -232,6 +273,11 @@ func (s *Set) allocTBB() *TBB {
 func NewSet(strategy string, prog programSymbols) *Set {
 	if prog == nil {
 		prog = noSymbols{}
+	}
+	if s, ok := prog.(*Set); ok && s != nil {
+		// A set derived from another names symbols from the same program;
+		// holding that program directly keeps it indexable (NameIn).
+		prog = s.prog
 	}
 	return &Set{Strategy: strategy, prog: prog, byEntry: make(map[uint64]*Trace)}
 }

@@ -42,74 +42,70 @@ import (
 //	         fall-through, or anything after an indirect terminator.
 func Automaton(a *core.Automaton, cache *cfg.Cache) *Report {
 	r := &Report{}
+	checkAutomaton(r, a, cache, &names{})
+	r.normalize()
+	return r
+}
+
+// checkAutomaton runs every automaton rule into r, naming states through nm.
+func checkAutomaton(r *Report, a *core.Automaton, cache *cfg.Cache, nm *names) {
 	n := a.NumStates()
 	if n == 0 || a.State(core.NTE).TBB != nil {
 		r.errf("A-STATE", core.NTE, "state 0", "state 0 is not NTE")
-		return r
+		return
 	}
 
 	seen := make(map[*trace.TBB]core.StateID, n)
 	for id := core.StateID(1); int(id) < n; id++ {
 		st := a.State(id)
-		locus := stateLocus(id, st)
 		if st.TBB == nil {
-			r.errf("A-STATE", id, locus, "non-NTE state has no TBB")
+			r.errf("A-STATE", id, nm.state(id, st), "non-NTE state has no TBB")
 			continue
 		}
 		if prev, dup := seen[st.TBB]; dup {
-			r.errf("A-STATE", id, locus, "TBB %s already owned by state %d (Property 1)", st.TBB, prev)
+			r.errf("A-STATE", id, nm.state(id, st), "TBB %s already owned by state %d (Property 1)", nm.tbb(st.TBB), prev)
 		}
 		seen[st.TBB] = id
 
 		labels, targets := st.Labels(), st.Targets()
 		for i, label := range labels {
 			if i > 0 && labels[i-1] >= label {
-				r.errf("A-DET", id, locus, "labels not strictly sorted at index %d (0x%x after 0x%x)", i, label, labels[i-1])
+				r.errf("A-DET", id, nm.state(id, st), "labels not strictly sorted at index %d (0x%x after 0x%x)", i, label, labels[i-1])
 			}
 			tgt := targets[i]
 			if tgt <= 0 || int(tgt) >= n {
-				r.errf("A-TARGET", id, locus, "transition on 0x%x targets invalid state %d", label, tgt)
+				r.errf("A-TARGET", id, nm.state(id, st), "transition on 0x%x targets invalid state %d", label, tgt)
 				continue
 			}
 			to := a.State(tgt)
 			if to.TBB == nil {
-				r.errf("A-TARGET", id, locus, "transition on 0x%x targets NTE-shaped state %d", label, tgt)
+				r.errf("A-TARGET", id, nm.state(id, st), "transition on 0x%x targets NTE-shaped state %d", label, tgt)
 				continue
 			}
 			if to.TBB.Block.Head != label {
-				r.errf("A-LABEL", id, locus, "label 0x%x does not match target %s head 0x%x", label, to.TBB, to.TBB.Block.Head)
+				r.errf("A-LABEL", id, nm.state(id, st), "label 0x%x does not match target %s head 0x%x", label, nm.tbb(to.TBB), to.TBB.Block.Head)
 			}
-			if st.TBB != nil && to.TBB.Trace != st.TBB.Trace {
-				r.errf("A-LABEL", id, locus, "in-trace transition crosses traces: %s -> %s", st.TBB, to.TBB)
+			if to.TBB.Trace != st.TBB.Trace {
+				r.errf("A-LABEL", id, nm.state(id, st), "in-trace transition crosses traces: %s -> %s", nm.tbb(st.TBB), nm.tbb(to.TBB))
 			}
 		}
 	}
 
 	set := a.Set()
 	if set != nil {
-		checkTraces(r, a, set)
+		checkTraces(r, a, set, nm)
 	}
-	checkEntries(r, a, set)
-	checkReachability(r, a)
-	checkNTESoundness(r, a)
+	checkEntries(r, a, set, nm)
+	checkReachability(r, a, nm)
+	checkNTESoundness(r, a, nm)
 	if cache != nil {
-		checkImage(r, a, cache)
+		checkImage(r, a, cache, nm)
 	}
-	r.normalize()
-	return r
-}
-
-// stateLocus renders the canonical locus of a state finding.
-func stateLocus(id core.StateID, st *core.State) string {
-	if st == nil {
-		return fmt.Sprintf("state %d", id)
-	}
-	return fmt.Sprintf("state %d (%s)", id, st.Name())
 }
 
 // checkTraces proves A-LIN over the automaton's trace set and Property 1's
 // cardinality (every TBB has a state).
-func checkTraces(r *Report, a *core.Automaton, set *trace.Set) {
+func checkTraces(r *Report, a *core.Automaton, set *trace.Set, nm *names) {
 	for _, t := range set.Traces {
 		if len(t.TBBs) == 0 {
 			r.errf("A-LIN", -1, fmt.Sprintf("T%d", t.ID), "trace has no TBBs")
@@ -124,7 +120,7 @@ func checkTraces(r *Report, a *core.Automaton, set *trace.Set) {
 				r.errf("A-LIN", -1, locus, "TBB back-pointer names %v, owner is T%d", tbb.Trace, t.ID)
 			}
 			if _, ok := a.StateFor(tbb); !ok {
-				r.errf("A-STATE", -1, locus, "TBB %s has no state (Property 1)", tbb)
+				r.errf("A-STATE", -1, locus, "TBB %s has no state (Property 1)", nm.tbb(tbb))
 			}
 		}
 	}
@@ -132,7 +128,7 @@ func checkTraces(r *Report, a *core.Automaton, set *trace.Set) {
 
 // checkEntries proves A-ENTRY: entry-table targets are trace heads entered
 // at their block head address, and every trace's entry is present.
-func checkEntries(r *Report, a *core.Automaton, set *trace.Set) {
+func checkEntries(r *Report, a *core.Automaton, set *trace.Set, nm *names) {
 	n := a.NumStates()
 	for _, e := range a.Entries() {
 		locus := fmt.Sprintf("entry 0x%x", e.Addr)
@@ -146,16 +142,16 @@ func checkEntries(r *Report, a *core.Automaton, set *trace.Set) {
 			continue
 		}
 		if tbb.Index != 0 {
-			r.errf("A-ENTRY", e.State, locus, "entry fabricates a trace entry mid-block: %s is TBB %d of its trace", tbb, tbb.Index)
+			r.errf("A-ENTRY", e.State, locus, "entry fabricates a trace entry mid-block: %s is TBB %d of its trace", nm.tbb(tbb), tbb.Index)
 		}
 		if tbb.Block.Head != e.Addr {
-			r.errf("A-ENTRY", e.State, locus, "entry address does not match head block 0x%x of %s", tbb.Block.Head, tbb)
+			r.errf("A-ENTRY", e.State, locus, "entry address does not match head block 0x%x of %s", tbb.Block.Head, nm.tbb(tbb))
 		}
 		if set != nil {
 			if t, ok := set.ByEntry(e.Addr); !ok {
 				r.errf("A-ENTRY", e.State, locus, "entry has no trace anchored at 0x%x", e.Addr)
 			} else if t.Head() != tbb {
-				r.errf("A-ENTRY", e.State, locus, "entry targets %s, trace head is %s", tbb, t.Head())
+				r.errf("A-ENTRY", e.State, locus, "entry targets %s, trace head is %s", nm.tbb(tbb), nm.tbb(t.Head()))
 			}
 		}
 	}
@@ -178,7 +174,7 @@ func checkEntries(r *Report, a *core.Automaton, set *trace.Set) {
 
 // checkReachability proves A-REACH: BFS from NTE over entry-table edges and
 // in-trace transitions must visit every state.
-func checkReachability(r *Report, a *core.Automaton) {
+func checkReachability(r *Report, a *core.Automaton, nm *names) {
 	n := a.NumStates()
 	visited := make([]bool, n)
 	visited[core.NTE] = true
@@ -201,7 +197,7 @@ func checkReachability(r *Report, a *core.Automaton) {
 	}
 	for id := core.StateID(1); int(id) < n; id++ {
 		if !visited[id] {
-			r.errf("A-REACH", id, stateLocus(id, a.State(id)), "state unreachable from NTE (dropped in-trace edge or fabricated state)")
+			r.errf("A-REACH", id, nm.state(id, a.State(id)), "state unreachable from NTE (dropped in-trace edge or fabricated state)")
 		}
 	}
 }
@@ -215,7 +211,7 @@ func checkReachability(r *Report, a *core.Automaton) {
 // Escape then propagates backwards over in-trace and entry-linked edges; a
 // strongly connected hot region with no escape is flagged as a warning —
 // the replayer tolerates it, but no terminating program records it.
-func checkNTESoundness(r *Report, a *core.Automaton) {
+func checkNTESoundness(r *Report, a *core.Automaton, nm *names) {
 	n := a.NumStates()
 	escapes := make([]bool, n)
 	succs := make([][]core.StateID, n)
@@ -282,7 +278,7 @@ func checkNTESoundness(r *Report, a *core.Automaton) {
 	}
 	for id := core.StateID(1); int(id) < n; id++ {
 		if a.State(id).TBB != nil && !escapes[id] {
-			r.warnf("A-NTE", id, stateLocus(id, a.State(id)), "NTE unreachable: every plausible successor stays in-trace (inescapable hot cycle)")
+			r.warnf("A-NTE", id, nm.state(id, a.State(id)), "NTE unreachable: every plausible successor stays in-trace (inescapable hot cycle)")
 		}
 	}
 }
@@ -305,7 +301,7 @@ func staticSuccessors(b *cfg.Block) []uint64 {
 // checkImage proves A-IMG and A-CFG against the loaded program image: every
 // recorded block must re-discover to the same shape, and every in-trace
 // label must be a plausible successor of its source block per the image.
-func checkImage(r *Report, a *core.Automaton, cache *cfg.Cache) {
+func checkImage(r *Report, a *core.Automaton, cache *cfg.Cache, nm *names) {
 	n := a.NumStates()
 	prog := cache.Program()
 	checked := make(map[uint64]*cfg.Block, n)
@@ -315,19 +311,18 @@ func checkImage(r *Report, a *core.Automaton, cache *cfg.Cache) {
 			continue
 		}
 		rec := st.TBB.Block
-		locus := stateLocus(id, st)
 		img, ok := checked[rec.Head]
 		if !ok {
 			var err error
 			img, err = cache.BlockAt(rec.Head)
 			if err != nil {
-				r.errf("A-IMG", id, locus, "recorded block head 0x%x is not a block in the image: %v", rec.Head, err)
+				r.errf("A-IMG", id, nm.state(id, st), "recorded block head 0x%x is not a block in the image: %v", rec.Head, err)
 				checked[rec.Head] = nil
 				continue
 			}
 			checked[rec.Head] = img
 			if img.NumInstrs != rec.NumInstrs || img.Bytes != rec.Bytes || img.End != rec.End || img.Term.Op != rec.Term.Op {
-				r.errf("A-IMG", id, locus, "recorded block %v does not match image block %v", rec, img)
+				r.errf("A-IMG", id, nm.state(id, st), "recorded block %v does not match image block %v", rec, img)
 			}
 		}
 		if img == nil {
@@ -340,12 +335,12 @@ func checkImage(r *Report, a *core.Automaton, cache *cfg.Cache) {
 		for _, label := range st.Labels() {
 			if term.IsIndirect() {
 				if _, ok := prog.At(label); !ok {
-					r.errf("A-CFG", id, locus, "indirect successor 0x%x is not an instruction in the image", label)
+					r.errf("A-CFG", id, nm.state(id, st), "indirect successor 0x%x is not an instruction in the image", label)
 				}
 				continue
 			}
 			if !plausibleLabel(img, label) {
-				r.errf("A-CFG", id, locus, "label 0x%x is not a successor of %v in the image CFG", label, img)
+				r.errf("A-CFG", id, nm.state(id, st), "label 0x%x is not a successor of %v in the image CFG", label, img)
 			}
 		}
 	}

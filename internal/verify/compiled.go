@@ -44,15 +44,20 @@ import (
 //	         are well-formed (in-range, anchor-consistent, acyclic).
 func Compiled(c *core.Compiled) *Report {
 	r := &Report{}
+	checkCompiled(r, c, &names{})
+	r.normalize()
+	return r
+}
+
+// checkCompiled runs every compiled rule into r, naming states through nm.
+func checkCompiled(r *Report, c *core.Compiled, nm *names) {
 	v := c.Audit()
 	a := c.Automaton()
 	compiledStructural(r, v, a, c.Config())
-	compiledBisim(r, c, a, v)
+	compiledBisim(r, c, a, v, nm)
 	compiledBTree(r, a.Entries(), c.Config().Fanout)
 	compiledSoA(r)
 	compiledStride(r, c, v)
-	r.normalize()
-	return r
 }
 
 // compiledSoA proves C-SOA: the structure-of-arrays split's record geometry.
@@ -425,7 +430,7 @@ func checkFilter(r *Report, v core.CompiledAudit, a *core.Automaton) {
 // transitions is exactly a bisimulation between the two representations.
 // Callers pass the automaton the compiled form claims to represent; tests
 // pass a foreign one to prove disagreements are caught.
-func compiledBisim(r *Report, c *core.Compiled, a *core.Automaton, v core.CompiledAudit) {
+func compiledBisim(r *Report, c *core.Compiled, a *core.Automaton, v core.CompiledAudit, nm *names) {
 	n := a.NumStates()
 	if len(v.States) != n || len(v.Off) != n+1 {
 		// Not even the state sets line up; the per-label comparison below
@@ -436,7 +441,6 @@ func compiledBisim(r *Report, c *core.Compiled, a *core.Automaton, v core.Compil
 	for i := 0; i < n; i++ {
 		id := core.StateID(i)
 		st := a.State(id)
-		locus := stateLocus(id, st)
 
 		alphabet := make(map[uint64]bool)
 		for _, l := range st.Labels() {
@@ -461,7 +465,7 @@ func compiledBisim(r *Report, c *core.Compiled, a *core.Automaton, v core.Compil
 			wantTgt, wantOK := st.Next(label)
 			gotTgt, gotOK := c.NextState(id, label)
 			if wantOK != gotOK || (wantOK && wantTgt != gotTgt) {
-				r.errf("C-EQ", id, locus, "transition on 0x%x: compiled (%d,%v) != automaton (%d,%v)", label, gotTgt, gotOK, wantTgt, wantOK)
+				r.errf("C-EQ", id, nm.state(id, st), "transition on 0x%x: compiled (%d,%v) != automaton (%d,%v)", label, gotTgt, gotOK, wantTgt, wantOK)
 			}
 		}
 
@@ -469,7 +473,7 @@ func compiledBisim(r *Report, c *core.Compiled, a *core.Automaton, v core.Compil
 			wantPl := plausibleByTerm(st, alphabet)
 			for label, want := range wantPl {
 				if got := auditPlausible(v.States[i], label); got != want {
-					r.errf("C-EQ", id, locus, "plausibility of 0x%x: compiled %v != block terminator %v", label, got, want)
+					r.errf("C-EQ", id, nm.state(id, st), "plausibility of 0x%x: compiled %v != block terminator %v", label, got, want)
 				}
 			}
 		}

@@ -164,7 +164,7 @@ func TestCompiledBisimCatchesForeignAutomaton(t *testing.T) {
 	set, _ := recordedSet(t, 11, "mret", 8)
 	foreign := core.Build(set)
 	r := &Report{}
-	compiledBisim(r, c, foreign, v)
+	compiledBisim(r, c, foreign, v, &names{})
 	requireRule(t, r, "C-EQ")
 }
 

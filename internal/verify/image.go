@@ -18,6 +18,17 @@ import (
 // gate handle "rejected" and "decoded but structurally bad" through one
 // interface.
 func Image(data []byte, cache *cfg.Cache, cfg core.LookupConfig) *Report {
+	_, _, r := Load(data, cache, cfg)
+	return r
+}
+
+// Load is Image for a caller that keeps what it audited: it decodes data,
+// compiles the automaton with cfg, and runs both rule families over
+// exactly the two forms it returns, so an admission gate can serve the
+// objects it proved instead of decoding and compiling a second, unproven
+// copy. On a decode rejection the forms are nil and the report holds the
+// W-DEC finding.
+func Load(data []byte, cache *cfg.Cache, cfg core.LookupConfig) (*core.Automaton, *core.Compiled, *Report) {
 	r := &Report{}
 	a, err := core.Decode(data, cache)
 	if err != nil {
@@ -28,10 +39,20 @@ func Image(data []byte, cache *cfg.Cache, cfg core.LookupConfig) *Report {
 			f.Locus = fmt.Sprintf("offset %d (%s)", de.Offset, de.Field)
 		}
 		r.add(f)
-		return r
+		return nil, nil, r
 	}
-	r.Merge(Automaton(a, cache))
-	r.Merge(Compiled(core.Compile(a, cfg)))
+	c := core.Compile(a, cfg)
+	return a, c, Admit(c, cache)
+}
+
+// Admit runs both rule families over a compiled form and the automaton it
+// was compiled from (the CFG rules too when cache is non-nil): the gate a
+// server runs on exactly the object it is about to serve.
+func Admit(c *core.Compiled, cache *cfg.Cache) *Report {
+	r := &Report{}
+	nm := &names{}
+	checkAutomaton(r, c.Automaton(), cache, nm)
+	checkCompiled(r, c, nm)
 	r.normalize()
 	return r
 }

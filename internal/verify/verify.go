@@ -33,6 +33,7 @@ import (
 	"strings"
 
 	"github.com/lsc-tea/tea/internal/core"
+	"github.com/lsc-tea/tea/internal/trace"
 )
 
 // Severity grades a finding.
@@ -79,6 +80,31 @@ func (f Finding) String() string {
 		locus = "-"
 	}
 	return fmt.Sprintf("%s %s %s: %s", f.Rule, f.Severity, locus, f.Msg)
+}
+
+// names renders the state and TBB names that findings carry. A name is
+// rendered only when a finding is reported, so a clean report resolves no
+// symbol at all. Symbols resolve through a trace.SymbolCache that lives
+// only as long as the verify call: a report with a finding on every state
+// still walks each program's labels once, and nothing outlives the call (a
+// server keeps no index per hosted image).
+type names struct {
+	syms trace.SymbolCache
+}
+
+// tbb renders t exactly as t.Name() does.
+func (n *names) tbb(t *trace.TBB) string { return t.NameIn(&n.syms) }
+
+// state renders the canonical locus of a state finding, "state N (name)"
+// with st.Name()'s text.
+func (n *names) state(id core.StateID, st *core.State) string {
+	switch {
+	case st == nil:
+		return fmt.Sprintf("state %d", id)
+	case st.TBB == nil:
+		return fmt.Sprintf("state %d (NTE)", id)
+	}
+	return fmt.Sprintf("state %d (%s)", id, n.tbb(st.TBB))
 }
 
 // Report is an ordered, diffable collection of findings.
